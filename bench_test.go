@@ -26,6 +26,7 @@ import (
 	"repro/internal/bddsp"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netlist"
@@ -287,39 +288,49 @@ func BenchmarkParseBench(b *testing.B) {
 	}
 }
 
-// BenchmarkEPPAllNodesParallel: the multi-core variant of the SysT kernel.
+// BenchmarkEPPAllNodesParallel: the multi-core variant of the SysT kernel,
+// the epp-batch engine on all cores.
 func BenchmarkEPPAllNodesParallel(b *testing.B) {
 	c := circuitFor(b, "s9234")
-	an := core.MustNew(c, spFor(b, c), core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an.AllSitesParallel(0)
-	}
+	benchEPPBatch(b, c, spFor(b, c), 0)
 }
 
-// BenchmarkAllSitesParallelScaling: multi-core scaling of the atomic-cursor
-// AllSitesParallel sweep across explicit worker counts (ROADMAP open item:
-// the 1-vCPU benchmark box could never measure it). The workers=1 row is
-// the serial baseline; on an N-core machine the workers=max row should
-// approach N× — batches are claimed lock-free and results are
-// worker-count-invariant, so any shortfall is memory bandwidth or cursor
-// contention, not synchronization.
+// BenchmarkAllSitesParallelScaling: multi-core scaling of the epp-batch
+// engine's sweep across explicit worker counts (ROADMAP open item: the
+// 1-vCPU benchmark box could never measure it). The workers=1 row is the
+// serial baseline; on an N-core machine the workers=max row should approach
+// N× — batches are claimed lock-free by the shared sweep driver and results
+// are worker-count-invariant, so any shortfall is memory bandwidth or
+// cursor contention, not synchronization.
 func BenchmarkAllSitesParallelScaling(b *testing.B) {
 	c := circuitFor(b, "s9234")
-	an := core.MustNew(c, spFor(b, c), core.Options{})
+	sp := spFor(b, c)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				an.AllSitesParallel(workers)
-			}
+			benchEPPBatch(b, c, sp, workers)
 			b.ReportMetric(float64(workers), "workers")
 		})
 	}
 	b.Run("workers=max", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			an.AllSitesParallel(0)
-		}
+		benchEPPBatch(b, c, sp, 0)
 	})
+}
+
+// benchEPPBatch times full epp-batch engine sweeps of c at the given worker
+// count (0 = all cores).
+func benchEPPBatch(b *testing.B, c *netlist.Circuit, sp []float64, workers int) {
+	eng, err := engine.Lookup("epp-batch")
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := &engine.Request{Circuit: c, SP: sp, Workers: workers}
+	out := make([]float64, c.N())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.PSensitizedAll(context.Background(), req, out); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkMultiCycleEPP (extension): the sequential detection-probability

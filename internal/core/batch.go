@@ -7,10 +7,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -49,7 +46,7 @@ const DefaultBatchWidth = MaxBatchWidth
 // misses, see TestBatchMatchesScalar).
 //
 // A BatchAnalyzer is not safe for concurrent use; create one per goroutine
-// (AllSitesParallel does).
+// (the epp-batch engine's workers each clone their own).
 type BatchAnalyzer struct {
 	a      *Analyzer
 	stride int // configured lane count (batch width)
@@ -634,8 +631,8 @@ func (b *BatchAnalyzer) genericLanes(base int, compute uint64, kind logic.Kind, 
 // the batched engine (DefaultBatchWidth sites per union-cone sweep) with
 // sites packed by the cone-locality scheduler, so lanes in one batch share
 // most of their union cone; because the batched engine is packing-invariant
-// (see run), the results are bit-identical to any other packing. See
-// AllSitesParallel for the multi-core variant.
+// (see run), the results are bit-identical to any other packing. The
+// multi-core sweep is the epp-batch engine (internal/engine).
 func (a *Analyzer) AllSites() []Result {
 	n := a.c.N()
 	out := make([]Result, n)
@@ -676,48 +673,5 @@ func (a *Analyzer) PSensitizedAll() []float64 {
 			out[site] = tmp[i]
 		}
 	}
-	return out
-}
-
-// AllSitesParallel runs AllSites across workers goroutines (0 means
-// GOMAXPROCS), each with its own cloned Analyzer and batched engine.
-// Scheduled batches are claimed from a lock-free atomic cursor in fixed
-// DefaultBatchWidth-aligned chunks; together with the batched engine's
-// packing invariance this makes every floating-point result identical to
-// the serial AllSites regardless of worker count or scheduling.
-func (a *Analyzer) AllSitesParallel(workers int) []Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := a.c.N()
-	out := make([]Result, n)
-	order := a.Schedule().Order // resolve once; worker clones share it
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := a.Clone()
-			eng := local.Batch()
-			k := int64(eng.stride)
-			tmp := make([]Result, eng.stride)
-			for {
-				lo := cursor.Add(k) - k
-				if lo >= int64(n) {
-					return
-				}
-				hi := int(lo) + eng.stride
-				if hi > n {
-					hi = n
-				}
-				eng.EPPBatch(order[lo:hi], tmp[:hi-int(lo)])
-				for _, r := range tmp[:hi-int(lo)] {
-					out[r.Site] = r
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }

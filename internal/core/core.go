@@ -19,7 +19,7 @@
 // Two engines implement the analysis. Analyzer.EPP is the scalar reference:
 // one site, one cone, one sweep — the executable specification of the
 // paper's method. BatchAnalyzer is the production kernel behind AllSites,
-// PSensitizedAll and AllSitesParallel: it sweeps up to MaxBatchWidth sites
+// PSensitizedAll and the epp-batch engine: it sweeps up to MaxBatchWidth sites
 // at once over the union of their cones, tracking per-node on-path lane
 // membership in a uint64 mask and storing the four-valued states
 // struct-of-arrays, which amortizes cone extraction, adjacency loads and

@@ -175,28 +175,6 @@ func TestPSensitizedAllMatchesEPP(t *testing.T) {
 	}
 }
 
-// TestAllSitesParallelMatchesSerial: the multi-core sweep must be
-// deterministic and equal to the serial sweep.
-func TestAllSitesParallelMatchesSerial(t *testing.T) {
-	c := gen.MustRandom(gen.Params{Name: "p", Seed: 9, PIs: 10, POs: 5, FFs: 4, Gates: 300})
-	sp := sigprob.Topological(c, sigprob.Config{})
-	a := MustNew(c, sp, Options{})
-	serial := a.AllSites()
-	parallel := a.AllSitesParallel(4)
-	if len(serial) != len(parallel) {
-		t.Fatal("length mismatch")
-	}
-	for id := range serial {
-		if serial[id].PSensitized != parallel[id].PSensitized {
-			t.Fatalf("site %d: serial %v, parallel %v",
-				id, serial[id].PSensitized, parallel[id].PSensitized)
-		}
-		if serial[id].ConeSize != parallel[id].ConeSize {
-			t.Fatalf("site %d: cone sizes differ", id)
-		}
-	}
-}
-
 // TestMoreOutputsNeverDecreasePSensitized (quick property): adding an
 // independent observing branch can only increase P_sensitized. Built as a
 // quick.Check over generated seeds.

@@ -130,7 +130,7 @@ import (
 type Hash [32]byte
 
 // Range is a contiguous half-open node-ID range [Lo, Hi) of memo hits, the
-// unit the engine sweep drivers schedule around (mirrors resume.Range).
+// unit the engines' sweeps schedule around (mirrors resume.Range).
 type Range struct{ Lo, Hi int }
 
 // ConeHashes computes the per-site observation-cone digest of every node of

@@ -1,15 +1,14 @@
 // The five built-in Engine implementations (epp-batch, epp-scalar,
-// monte-carlo, enum, bdd), all running on the shared resilient sweep
-// drivers (see resilience.go): atomic-cursor span distribution, panic
-// isolation, checkpoint/resume, deadlines and node budgets.
+// monte-carlo, enum, bdd), all running on the shared sweep driver
+// (internal/sweep, wrapped by resilience.go): atomic-cursor span
+// distribution, panic isolation, checkpoint/resume, deadlines and node
+// budgets.
 
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/bddsp"
 	"repro/internal/core"
@@ -27,15 +26,6 @@ func init() {
 	Register(mcEngine{})
 	Register(enumEngine{})
 	Register(bddEngine{})
-}
-
-// resolveWorkers maps the Request.Workers convention (0 = all cores) to a
-// concrete goroutine count.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // batchEngine is the production EPP backend: core.BatchAnalyzer sweeping up
@@ -270,18 +260,7 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 			if req.OnProgress != nil {
 				req.OnProgress(n, n)
 			}
-			if req.OnBatch != nil {
-				for lo := 0; lo < n; lo += 64 {
-					hi := lo + 64
-					if hi > n {
-						hi = n
-					}
-					if err := callOnBatch(req.OnBatch, lo, hi); err != nil {
-						return wrapSweepErr("monte-carlo", n, n, err)
-					}
-				}
-			}
-			return nil
+			return wrapSweepErr("monte-carlo", n, n, replay(req.OnBatch, tile(nil, 0, n, 64)))
 		}
 		// Partial hits were written into out; the full recompute below
 		// overwrites every entry, so nothing stale can survive.
@@ -332,26 +311,13 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 		}
 		opt.MaxNewWords = maxNew
 	}
-	finish := func(err error) error {
-		if err == nil {
-			return nil
-		}
-		var pe *simulate.PanicError
-		if errors.As(err, &pe) {
-			return &SweepPanicError{Engine: "monte-carlo", Unit: "word", Lo: pe.Word, Hi: pe.Word + 1, Value: pe.Value, Stack: pe.Stack}
-		}
-		if errors.Is(err, simulate.ErrWordBudget) {
-			err = ErrBudget
-		}
-		return wrapSweepErr("monte-carlo", n, n*wordsDone/words, err)
-	}
 	var st simulate.MCStats
 	fin := resume.Counters{} // final integer counters, for the completion flush
 	if req.Frames > 1 {
 		mb := simulate.NewMCSeqBatch(c, opt, req.Frames)
-		res, err := mb.PDetectAll(ctx, resolveWorkers(req.Workers))
+		res, err := mb.PDetectAll(ctx, req.Workers)
 		if err != nil {
-			return finish(err)
+			return wrapSweepErr("monte-carlo", n, n*wordsDone/words, err)
 		}
 		if req.Latch != nil {
 			// Latch-window weighting, composed from the kernel's integer
@@ -381,9 +347,9 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 		}
 	} else {
 		mb := simulate.NewMCBatch(c, opt)
-		res, err := mb.EPPAll(ctx, resolveWorkers(req.Workers))
+		res, err := mb.EPPAll(ctx, req.Workers)
 		if err != nil {
-			return finish(err)
+			return wrapSweepErr("monte-carlo", n, n*wordsDone/words, err)
 		}
 		for id := range res {
 			out[id] = res[id].PSensitized
@@ -418,18 +384,7 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 			return err
 		}
 	}
-	if req.OnBatch != nil {
-		for lo := 0; lo < c.N(); lo += 64 {
-			hi := lo + 64
-			if hi > c.N() {
-				hi = c.N()
-			}
-			if err := callOnBatch(req.OnBatch, lo, hi); err != nil {
-				return wrapSweepErr("monte-carlo", n, n, err)
-			}
-		}
-	}
-	return nil
+	return wrapSweepErr("monte-carlo", n, n, replay(req.OnBatch, tile(nil, 0, n, 64)))
 }
 
 // countersIn converts a restored checkpoint counter snapshot to the kernel

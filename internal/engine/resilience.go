@@ -1,6 +1,7 @@
-// The engines' resilience layer: the span-based parallel sweep driver with
-// panic isolation, the checkpoint/resume plumbing shared by the site-major
-// engines, node budgets, and the structured errors partial sweeps surface.
+// The engines' resilience layer over the shared sweep driver
+// (internal/sweep): the checkpoint/resume and memo plumbing shared by the
+// site-major engines, node budgets, request fingerprints, and the
+// structured errors partial sweeps surface.
 
 package engine
 
@@ -10,18 +11,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/eco"
 	"repro/internal/resume"
+	"repro/internal/sweep"
 )
 
 // ErrBudget is the sentinel wrapped by a *PartialError when a sweep stops at
 // its MaxSweepNodes budget; test with errors.Is.
-var ErrBudget = errors.New("engine: sweep node budget exhausted")
+var ErrBudget = sweep.ErrBudget
 
 // PartialError reports a sweep that stopped before completion for an
 // orderly reason — cancellation, a deadline, or the node budget — together
@@ -48,26 +49,8 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // goroutine processing a batch or word, or a user callback
 // (OnBatch/OnProgress/OnWord) — converted to a returned error so a buggy
 // callback or one poisoned input aborts the sweep cleanly instead of
-// crashing the process.
-type SweepPanicError struct {
-	Engine string // registry name of the engine whose sweep panicked
-	Unit   string // failing unit kind: "batch", "word", "setup" or "sweep"
-	Lo, Hi int    // failing unit range: [Lo, Hi) sites, or word index Lo; -1 if unknown
-	Value  any    // the recovered panic value
-	Stack  []byte // stack of the panicking goroutine at recovery
-}
-
-// Error summarizes the panic; the full stack is in Stack.
-func (e *SweepPanicError) Error() string {
-	where := ""
-	switch {
-	case e.Unit == "word" && e.Lo >= 0:
-		where = fmt.Sprintf(" at word %d", e.Lo)
-	case e.Lo >= 0:
-		where = fmt.Sprintf(" at %s [%d,%d)", e.Unit, e.Lo, e.Hi)
-	}
-	return fmt.Sprintf("engine: panic in %s sweep%s: %v", e.Engine, where, e.Value)
-}
+// crashing the process. Engine names the engine whose sweep panicked.
+type SweepPanicError = sweep.PanicError
 
 // Fingerprint canonically hashes everything that determines the request's
 // results for the named engine: the circuit's content hash plus every
@@ -82,42 +65,10 @@ func (e *SweepPanicError) Error() string {
 // otherwise) so that an SP-affecting change upstream is caught even though
 // SP is computed, not configured.
 func (r *Request) Fingerprint(engineName string, sp []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wF64 := func(v float64) { wInt(int64(math.Float64bits(v))) }
-	wStr := func(s string) {
-		wInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	wVec := func(v []float64) {
-		wInt(int64(len(v)))
-		for _, x := range v {
-			wF64(x)
-		}
-	}
-	wStr(engineName)
-	wStr(r.Circuit.ContentHash())
-	wInt(int64(r.Frames))
-	wInt(int64(r.Vectors))
-	wInt(int64(r.Seed))
-	wInt(int64(r.Rules))
-	wInt(int64(r.BDDBudget))
-	if r.Latch == nil {
-		wInt(0)
-	} else {
-		wInt(1)
-		wF64(r.Latch.ClockPeriodPs)
-		wF64(r.Latch.WindowPs)
-		wF64(r.Latch.PulseWidthPs)
-		wF64(r.Latch.AttenuationPerLevel)
-	}
-	wVec(r.Bias)
-	wVec(sp)
-	return fmt.Sprintf("%x", h.Sum(nil))
+	d := r.digest(engineName, r.Circuit.ContentHash())
+	d.vec(r.Bias)
+	d.vec(sp)
+	return d.hex()
 }
 
 // memoKey is the ECO cache's request identity: every result-affecting
@@ -129,42 +80,70 @@ func (r *Request) Fingerprint(engineName string, sp []float64) string {
 // streams draw per source in global ascending-ID order, so a source-set
 // change shifts every later source's draws even when cones are unchanged.
 func (r *Request) memoKey(engineName string, sampling bool) string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wF64 := func(v float64) { wInt(int64(math.Float64bits(v))) }
-	wStr := func(s string) {
-		wInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	wStr("eco-v1")
-	wStr(engineName)
-	wInt(int64(r.Frames))
-	wInt(int64(r.Vectors))
-	wInt(int64(r.Seed))
-	wInt(int64(r.Rules))
-	wInt(int64(r.BDDBudget))
-	if r.Latch == nil {
-		wInt(0)
-	} else {
-		wInt(1)
-		wF64(r.Latch.ClockPeriodPs)
-		wF64(r.Latch.WindowPs)
-		wF64(r.Latch.PulseWidthPs)
-		wF64(r.Latch.AttenuationPerLevel)
-	}
+	d := r.digest("eco-v1", engineName)
 	if sampling {
 		srcs := r.Circuit.Sources()
-		wInt(int64(len(srcs)))
+		d.int(int64(len(srcs)))
 		for _, id := range srcs {
-			wInt(int64(id))
+			d.int(int64(id))
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return d.hex()
 }
+
+// digest starts the request encoding shared by Fingerprint and memoKey: the
+// head strings, then the scalar result-affecting options and the latch
+// model. The byte stream keys on-disk checkpoints and SERECO1 memo files,
+// so it must never change silently (TestRequestDigestsGolden pins it).
+func (r *Request) digest(head ...string) *digest {
+	d := &digest{h: sha256.New()}
+	for _, s := range head {
+		d.str(s)
+	}
+	d.int(int64(r.Frames))
+	d.int(int64(r.Vectors))
+	d.int(int64(r.Seed))
+	d.int(int64(r.Rules))
+	d.int(int64(r.BDDBudget))
+	if r.Latch == nil {
+		d.int(0)
+	} else {
+		d.int(1)
+		d.f64(r.Latch.ClockPeriodPs)
+		d.f64(r.Latch.WindowPs)
+		d.f64(r.Latch.PulseWidthPs)
+		d.f64(r.Latch.AttenuationPerLevel)
+	}
+	return d
+}
+
+// digest is a SHA-256 over a stream of little-endian 64-bit words;
+// strings and vectors are length-prefixed.
+type digest struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (d *digest) int(v int64) {
+	binary.LittleEndian.PutUint64(d.buf[:], uint64(v))
+	d.h.Write(d.buf[:])
+}
+
+func (d *digest) f64(v float64) { d.int(int64(math.Float64bits(v))) }
+
+func (d *digest) str(s string) {
+	d.int(int64(len(s)))
+	d.h.Write([]byte(s))
+}
+
+func (d *digest) vec(v []float64) {
+	d.int(int64(len(v)))
+	for _, x := range v {
+		d.f64(x)
+	}
+}
+
+func (d *digest) hex() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
 
 // memoFrames normalizes the request's frame count for cone hashing.
 func (r *Request) memoFrames() int {
@@ -201,175 +180,27 @@ func (r *Request) checkMemo() error {
 	return nil
 }
 
-// span is one contiguous claimable range of a sweep's unit space.
-type span struct{ lo, hi int }
-
-// chunkSpans tiles [lo0, hi0) into chunk-sized spans aligned to lo0 — the
-// fresh-sweep work list, identical to the historical atomic-cursor
-// partitioning for the full range [0, n), and the shard work list for a
-// site-range request.
-func chunkSpans(lo0, hi0, chunk int) []span {
-	spans := make([]span, 0, (hi0-lo0+chunk-1)/chunk)
-	for lo := lo0; lo < hi0; lo += chunk {
-		hi := lo + chunk
-		if hi > hi0 {
-			hi = hi0
-		}
-		spans = append(spans, span{lo, hi})
+// tile appends to spans the chunk-sized pieces of [lo, hi), aligned to lo.
+func tile(spans []sweep.Span, lo, hi, chunk int) []sweep.Span {
+	for ; lo < hi; lo += chunk {
+		spans = append(spans, sweep.Span{Lo: lo, Hi: min(lo+chunk, hi)})
 	}
 	return spans
 }
 
-// pendingSpans tiles the complement of the done ranges (sorted, disjoint,
-// within [0, n)) into spans of at most chunk units — the resumed-sweep work
+// pendingSpans tiles the complement of the done spans (sorted, disjoint,
+// within [lo0, hi0)) into spans of at most chunk units — the sweep's work
 // list. Pieces are aligned to the gap starts, not to absolute chunk
 // multiples; engines built on this must be packing-invariant (they all
 // are).
-func pendingSpans(n, chunk int, done []resume.Range) []span {
-	var spans []span
-	next := 0
-	emit := func(lo, hi int) {
-		for ; lo+chunk < hi; lo += chunk {
-			spans = append(spans, span{lo, lo + chunk})
-		}
-		if lo < hi {
-			spans = append(spans, span{lo, hi})
-		}
+func pendingSpans(lo0, hi0, chunk int, done []sweep.Span) []sweep.Span {
+	var spans []sweep.Span
+	next := lo0
+	for _, d := range done {
+		spans = tile(spans, next, d.Lo, chunk)
+		next = d.Hi
 	}
-	for _, r := range done {
-		emit(next, r.Lo)
-		next = r.Hi
-	}
-	emit(next, n)
-	return spans
-}
-
-// sweepSpans is the shared driver of the site-major engines: spans are
-// claimed from a lock-free atomic cursor by workers goroutines, each
-// running its own do closure from newWorker. Because every engine built on
-// it writes per-unit results exactly once, results are bit-identical at any
-// worker count and any span partitioning. Cancellation is checked before
-// each claim. After each completed span the driver runs the serialized
-// report section — onBatch, then progress accounting against doneBase (units
-// completed before this call, i.e. restored from a checkpoint), then the
-// maxUnits budget check — under one mutex, with panics in callbacks or
-// workers recovered into a *SweepPanicError that aborts the sweep. The
-// returned done count (doneBase plus units completed here) is valid on
-// error paths too, for partial-progress metadata.
-func sweepSpans(ctx context.Context, spans []span, total, doneBase, workers, maxUnits int, onBatch func(lo, hi int) error, onProgress func(done, total int), newWorker func() (func(lo, hi int) error, error)) (int, error) {
-	if len(spans) == 0 {
-		if onProgress != nil && doneBase > 0 {
-			onProgress(doneBase, total)
-		}
-		return doneBase, nil
-	}
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		abort  atomic.Bool
-		first  error
-		done   = doneBase
-	)
-	fail := func(err error) {
-		func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if first == nil {
-				first = err
-			}
-		}()
-		abort.Store(true)
-	}
-	// report is the per-span critical section. The deferred recover turns a
-	// callback panic into an error while the deferred unlock keeps the
-	// mutex released either way — a panicking callback must never leave
-	// wg.Wait() deadlocked behind a held lock.
-	report := func(lo, hi int) (err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		defer func() {
-			if r := recover(); r != nil {
-				err = &SweepPanicError{Unit: "batch", Lo: lo, Hi: hi, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		if first != nil {
-			return first
-		}
-		if onBatch != nil {
-			if err := onBatch(lo, hi); err != nil {
-				return err
-			}
-		}
-		done += hi - lo
-		if onProgress != nil {
-			onProgress(done, total)
-		}
-		if maxUnits > 0 && done >= maxUnits && done < total {
-			return ErrBudget
-		}
-		return nil
-	}
-	for w := 0; w < workers; w++ {
-		do, err := newSweepWorker(newWorker)
-		if err != nil {
-			fail(err)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := -1, -1
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&SweepPanicError{Unit: "batch", Lo: lo, Hi: hi, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			for {
-				if abort.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				lo, hi = spans[i].lo, spans[i].hi
-				if err := do(lo, hi); err != nil {
-					fail(err)
-					return
-				}
-				if err := report(lo, hi); err != nil {
-					fail(err)
-					return
-				}
-				lo, hi = -1, -1
-			}
-		}()
-	}
-	wg.Wait()
-	return done, first
-}
-
-// newSweepWorker runs an engine's worker constructor with panic recovery:
-// construction happens serially in the caller's goroutine, so a panic there
-// (a poisoned circuit, say) must also become an error, not a crash.
-func newSweepWorker(newWorker func() (func(lo, hi int) error, error)) (do func(lo, hi int) error, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &SweepPanicError{Unit: "setup", Lo: -1, Hi: -1, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return newWorker()
+	return tile(spans, next, hi0, chunk)
 }
 
 // wrapSweepErr finalizes a sweep's error for the engine boundary: panic
@@ -401,138 +232,114 @@ func wrapSweepErr(engName string, total, done int, err error) error {
 // a checkpoint force ascending-ID order (Request.sweepOrdered): committed
 // ranges must be ID ranges to be restorable. sp is the engine's resolved
 // signal probability vector (nil for non-analytic engines), consumed by the
-// request fingerprint.
+// request fingerprint. newWorker builds one worker's batch function; the
+// shared sweep driver calls it serially, once per worker.
 func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, chunk int, out []float64, newWorker func() (func(lo, hi int) error, error)) error {
 	n := req.Circuit.N()
 	lo0, hi0, sharded, err := req.shardRange(n)
 	if err != nil {
 		return err
 	}
-	total := hi0 - lo0
-	var (
-		spans    []span
-		rs       *resume.State
-		doneBase int
-	)
 	if err := req.checkMemo(); err != nil {
 		return err
 	}
-	if req.Stats != nil {
-		// Count analyzed sites generically: every chunk a worker actually
-		// computes (restored sites — checkpoint or memo — are not analyzed,
-		// so on a memo-assisted run MemoHits + Sites covers the whole sweep).
-		stats, inner := req.Stats, newWorker
-		newWorker = func() (func(lo, hi int) error, error) {
-			w, err := inner()
-			if err != nil {
-				return nil, err
-			}
-			return func(lo, hi int) error {
-				if err := w(lo, hi); err != nil {
-					return err
-				}
-				stats.Sites.Add(int64(hi - lo))
-				return nil
-			}, nil
-		}
-	}
-	onBatch := req.OnBatch
-	if sharded {
-		if req.Memo != nil {
-			return fmt.Errorf("engine: a site-range shard cannot carry an ECO memo cache (the coordinator owns cross-request reuse)")
-		}
+	total := hi0 - lo0
+	var (
+		restored []sweep.Span
+		rs       *resume.State
+		doneBase int
+		onBatch  = req.OnBatch
+	)
+	switch {
+	case sharded && req.Memo != nil:
+		return fmt.Errorf("engine: a site-range shard cannot carry an ECO memo cache (the coordinator owns cross-request reuse)")
+	case sharded && req.Resume != nil:
 		// A shard is one slice of a larger logical sweep whose durability the
 		// coordinator owns (it commits returned ranges against the full-sweep
 		// checkpoint); a per-shard checkpoint would fingerprint as the full
 		// sweep while holding only the slice, so the combination is refused.
-		if req.Resume != nil {
-			return fmt.Errorf("engine: a site-range shard cannot carry its own checkpoint (the coordinator owns retry durability)")
-		}
-		spans = chunkSpans(lo0, hi0, chunk)
-		maxUnits := 0
-		if req.MaxSweepNodes > 0 {
-			maxUnits = req.MaxSweepNodes
-		}
-		done, err := sweepSpans(ctx, spans, total, 0, resolveWorkers(req.Workers), maxUnits, onBatch, req.OnProgress, newWorker)
-		return wrapSweepErr(engName, total, done, err)
-	}
-	if req.Resume != nil {
+		return fmt.Errorf("engine: a site-range shard cannot carry its own checkpoint (the coordinator owns retry durability)")
+	case req.Resume != nil:
 		// A corrupt checkpoint (torn bytes, failed checksum) has been
 		// quarantined to <path>.corrupt by the resume layer; the sweep
 		// restarts fresh rather than folding garbage, and the quarantined
 		// file keeps the forensic evidence.
-		var err error
 		rs, _, err = req.Resume.ArmRecovering(engName, req.Fingerprint(engName, sp), resume.KindSites, n)
 		if err != nil {
 			return err
 		}
-		ranges := rs.RestoreSites(out)
-		doneBase = rs.DoneUnits()
-		// Replay restored ranges through OnBatch up front so streaming
-		// consumers see every site exactly once across the interrupted and
-		// resumed runs' perspective of this sweep.
-		if onBatch != nil {
-			for _, rg := range ranges {
-				if err := callOnBatch(onBatch, rg.Lo, rg.Hi); err != nil {
-					return wrapSweepErr(engName, n, doneBase, err)
-				}
-			}
+		for _, rg := range rs.RestoreSites(out) {
+			restored = append(restored, sweep.Span(rg))
 		}
-		spans = pendingSpans(n, chunk, ranges)
-		inner := onBatch
+		doneBase = rs.DoneUnits()
 		onBatch = func(lo, hi int) error {
 			if err := rs.CommitSites(lo, hi, out[lo:hi]); err != nil {
 				return err
 			}
-			if inner != nil {
-				return inner(lo, hi)
+			if req.OnBatch != nil {
+				return req.OnBatch(lo, hi)
 			}
 			return nil
 		}
-	} else if req.Memo != nil {
+	case req.Memo != nil:
 		// The memo restore mirrors the checkpoint path: cached sites are
 		// restored into out (bit-identical — values are stored as IEEE-754
-		// bit patterns keyed by cone hash), replayed through OnBatch so
-		// streaming consumers see every site exactly once, and the sweep
-		// covers the complement. Freshly computed batches are stored back
-		// under the commit hook, and the cache is flushed on every exit
+		// bit patterns keyed by cone hash), replayed through OnBatch, and the
+		// sweep covers the complement. Freshly computed batches are stored
+		// back under the commit hook, and the cache is flushed on every exit
 		// path, so even a budgeted or deadlined sweep banks its results.
 		hashes := req.memoHashes(engName, sp)
 		key := req.memoKey(engName, false)
 		ranges, hits := req.Memo.Lookup(key, hashes, out)
+		for _, rg := range ranges {
+			restored = append(restored, sweep.Span(rg))
+		}
 		doneBase = hits
 		if req.Stats != nil {
 			req.Stats.MemoHits.Add(int64(hits))
 		}
-		if onBatch != nil {
-			for _, rg := range ranges {
-				if err := callOnBatch(onBatch, rg.Lo, rg.Hi); err != nil {
-					return wrapSweepErr(engName, n, doneBase, err)
-				}
-			}
-		}
-		rr := make([]resume.Range, len(ranges))
-		for i, rg := range ranges {
-			rr[i] = resume.Range{Lo: rg.Lo, Hi: rg.Hi}
-		}
-		spans = pendingSpans(n, chunk, rr)
-		memo, inner := req.Memo, onBatch
 		onBatch = func(lo, hi int) error {
-			memo.Store(key, hashes, lo, hi, out[lo:hi])
-			if inner != nil {
-				return inner(lo, hi)
+			req.Memo.Store(key, hashes, lo, hi, out[lo:hi])
+			if req.OnBatch != nil {
+				return req.OnBatch(lo, hi)
 			}
 			return nil
 		}
-	} else {
-		spans = chunkSpans(0, n, chunk)
 	}
-	maxUnits := 0
-	if req.MaxSweepNodes > 0 {
+	// Replay restored ranges through OnBatch up front so streaming consumers
+	// see every site exactly once across the interrupted and resumed runs'
+	// perspective of this sweep.
+	if err := replay(req.OnBatch, restored); err != nil {
+		return wrapSweepErr(engName, total, doneBase, err)
+	}
+	cfg := sweep.Config[func(lo, hi int) error]{
+		Spans:    pendingSpans(lo0, hi0, chunk, restored),
+		Workers:  req.Workers,
+		DoneBase: doneBase,
 		// The budget bounds this call's new work; restored units are free.
-		maxUnits = doneBase + req.MaxSweepNodes
+		Budget: req.MaxSweepNodes,
+		Unit:   "batch",
+		New:    newWorker,
+		Do: func(do func(lo, hi int) error, lo, hi int) error {
+			if err := do(lo, hi); err != nil {
+				return err
+			}
+			if req.Stats != nil {
+				// Count analyzed sites generically: restored sites (checkpoint
+				// or memo) are not analyzed, so on a memo-assisted run
+				// MemoHits + Sites covers the whole sweep.
+				req.Stats.Sites.Add(int64(hi - lo))
+			}
+			return nil
+		},
 	}
-	done, err := sweepSpans(ctx, spans, n, doneBase, resolveWorkers(req.Workers), maxUnits, onBatch, req.OnProgress, newWorker)
+	if onBatch != nil {
+		cfg.After = func(_ func(lo, hi int) error, lo, hi int) error { return onBatch(lo, hi) }
+	}
+	if req.OnProgress != nil {
+		cfg.Progress = func(done int) { req.OnProgress(done, total) }
+	}
+	done, err := sweep.Run(ctx, cfg)
 	if rs != nil {
 		// Flush on every path: after an orderly stop (budget, deadline,
 		// cancel) the committed batches since the last cadence write become
@@ -546,19 +353,29 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 			err = ferr
 		}
 	}
-	return wrapSweepErr(engName, n, done, err)
+	return wrapSweepErr(engName, total, done, err)
 }
 
-// callOnBatch invokes a user OnBatch callback with panic recovery — used
-// for checkpoint replay, which runs outside the sweep driver's own
-// recovery.
-func callOnBatch(onBatch func(lo, hi int) error, lo, hi int) (err error) {
+// replay delivers already-final ranges through a user OnBatch callback (nil
+// is a no-op) with panic recovery — checkpoint and memo restores, and the
+// word-major engine's end-of-sweep tiling, all run outside the sweep
+// driver's own recovery.
+func replay(onBatch func(lo, hi int) error, spans []sweep.Span) (err error) {
+	cur := sweep.Span{Lo: -1, Hi: -1}
 	defer func() {
 		if r := recover(); r != nil {
-			err = &SweepPanicError{Unit: "batch", Lo: lo, Hi: hi, Value: r, Stack: debug.Stack()}
+			err = &SweepPanicError{Unit: "batch", Lo: cur.Lo, Hi: cur.Hi, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return onBatch(lo, hi)
+	if onBatch == nil {
+		return nil
+	}
+	for _, cur = range spans {
+		if err := onBatch(cur.Lo, cur.Hi); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sweepOrdered reports whether the sweep must run in ascending node-ID

@@ -10,8 +10,9 @@
 // seed (deterministic per seed, randomized across seeds) and fires exactly
 // once when progress crosses it:
 //
-//   - Panic panics inside the callback, exercising the sweep drivers' panic
-//     isolation (the run must return a *engine.SweepPanicError, not crash).
+//   - Panic panics inside the callback, exercising the shared sweep
+//     driver's panic isolation (the run must return a
+//     *engine.SweepPanicError, not crash).
 //   - Cancel cancels the run's context, exercising orderly cancellation.
 //   - Stall sleeps inside the callback, exercising WithTimeout deadlines.
 //

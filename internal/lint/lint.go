@@ -89,7 +89,7 @@ var scopes = map[string][]string{
 	detrangeName: {
 		"internal/core", "internal/simulate", "internal/engine",
 		"internal/seq", "internal/serd", "internal/resume", "internal/sched",
-		"internal/eco",
+		"internal/eco", "internal/sweep",
 	},
 	// Kernel and fingerprint-relevant packages: results must be a pure
 	// function of (circuit, options, seed). serd/table2 are deliberately
@@ -103,14 +103,14 @@ var scopes = map[string][]string{
 		"internal/bddsp", "internal/sched", "internal/netlist",
 		"internal/graph", "internal/faults", "internal/ser",
 		"internal/gen", "internal/harden", "internal/resume",
-		"internal/eco",
+		"internal/eco", "internal/sweep",
 	},
-	// Sweep drivers and recovery paths where PR 6's panic isolation
+	// The sweep driver and recovery paths where PR 6's panic isolation
 	// depends on defer-unlock ordering.
 	deferunlockName: {
 		"internal/engine", "internal/simulate", "internal/serd",
 		"internal/resume", "internal/circuitio", "internal/faultinject",
-		"internal/chaos",
+		"internal/chaos", "internal/sweep",
 	},
 	atomiconlyName: {"..."},
 	ctxflowName:    {"..."},

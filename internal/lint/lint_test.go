@@ -193,6 +193,9 @@ func TestInScope(t *testing.T) {
 		{"detsource", "repro/internal/simulate", true},
 		{"detsource", "repro/internal/serd", false}, // deliberately out of scope
 		{"deferunlock", "repro/internal/serd", true},
+		{"detrange", "repro/internal/sweep", true},
+		{"detsource", "repro/internal/sweep", true},
+		{"deferunlock", "repro/internal/sweep", true},
 		{"bitfloat", "repro/internal/resume", true},
 		{"bitfloat", "repro/internal/core", false},
 		{"atomiconly", "repro/internal/anything", true}, // "..." scope

@@ -336,8 +336,8 @@ func (cp *Checkpoint) ArmRecovering(engineName, fingerprint, kind string, units 
 
 // State is one armed sweep's checkpoint state: the done-unit set plus the
 // restored and subsequently committed values/counters. Commit methods are
-// safe for concurrent use (sweep drivers call them under their merge mutex
-// anyway); Flush is called once after the sweep stops.
+// safe for concurrent use (the shared sweep driver calls them under its
+// mutex anyway); Flush is called once after the sweep stops.
 type State struct {
 	mu        sync.Mutex
 	cp        *Checkpoint

@@ -1,23 +1,19 @@
 // Shared-good-sim batched Monte Carlo kernel for the single-cycle
-// P_sensitized estimate, plus the word-major sweep driver and counter
+// P_sensitized estimate, plus the word-major sweep setup and counter
 // plumbing shared with the multi-cycle kernel.
 
 package simulate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // mcLanes is the lane count of one Monte Carlo site group: like the batched
@@ -240,9 +236,9 @@ func (m *MCBatch) Circuit() *netlist.Circuit { return m.c }
 func (m *MCBatch) Stats() MCStats { return m.stats }
 
 // wordWorker is the per-goroutine state of a word-major sweep, shared by the
-// MCBatch and MCSeqBatch drivers: runWord processes one claimed 64-vector
+// MCBatch and MCSeqBatch kernels: runWord processes one claimed 64-vector
 // word; merge folds the worker's detection counts and work counters into
-// the sweep totals (called under the driver's mutex — at worker exit
+// the sweep totals (called under the sweep driver's mutex — at worker exit
 // normally, after every word in the per-word commit regime); reset zeroes
 // the local tallies between per-word merges.
 type wordWorker interface {
@@ -342,181 +338,66 @@ func (tot *mcTotals) snapshot() Counters {
 	}
 }
 
-// ErrWordBudget reports that a sweep stopped at its MaxNewWords budget with
-// the remaining words unprocessed; see MCOptions.MaxNewWords.
-var ErrWordBudget = errors.New("simulate: word budget exhausted")
-
-// PanicError is a panic recovered from a word-major sweep — in a worker
-// processing a word or in a user callback (OnWord/OnCommit) — converted to
-// an error so one poisoned word or buggy callback aborts the sweep cleanly
-// instead of crashing the process.
-type PanicError struct {
-	Word  int    // 64-vector word being processed; -1 if not word-bound
-	Value any    // the recovered panic value
-	Stack []byte // stack of the panicking goroutine at recovery
-}
-
-// Error summarizes the panic; the full stack is in Stack.
-func (e *PanicError) Error() string {
-	if e.Word < 0 {
-		return fmt.Sprintf("simulate: panic in word sweep: %v", e.Value)
+// sweepWords runs one word-major sweep on the shared sweep driver — the
+// common body of MCBatch.EPPAll and MCSeqBatch.PDetectAll. It validates and
+// folds opt.Resume into tot (frames as for mcTotals.seed), then claims the
+// pending 64-vector words as one-unit spans across workers goroutines, each
+// with its own worker from newWorker; MaxNewWords is the driver's unit
+// budget. OnWord progress is reported under the driver's mutex (so done
+// counts are strictly increasing and calls never overlap), and per-worker
+// counters are merged into tot — per word under the mutex when OnCommit is
+// set (so each commit's snapshot covers exactly the committed words),
+// otherwise once at worker exit. On any abort OnAbort receives the
+// committed snapshot and the caller discards the partial result. All
+// counters are integers summed per site (and per frame), so the totals are
+// identical at any worker count and any merge regime.
+func sweepWords(ctx context.Context, opt *MCOptions, workers, frames int, tot *mcTotals, newWorker func() wordWorker) error {
+	words := opt.Words()
+	var skip []bool
+	if r := opt.Resume; r != nil {
+		if len(r.Skip) != words {
+			return fmt.Errorf("simulate: Resume.Skip has %d words, sweep has %d", len(r.Skip), words)
+		}
+		if err := tot.seed(r.Counters, len(tot.detected), frames); err != nil {
+			return err
+		}
+		skip = r.Skip
 	}
-	return fmt.Sprintf("simulate: panic in word sweep at word %d: %v", e.Word, e.Value)
-}
-
-// wordSweepCfg parameterizes runWordSweep; see MCOptions for the contracts
-// of the optional fields.
-type wordSweepCfg struct {
-	workers int
-	words   int    // total words of the full request
-	skip    []bool // words already completed by a resumed run (nil: none)
-	maxNew  int    // MaxNewWords bound (0: none)
-	onWord  func(done, total int)
-	commit  func(word int, snap func() Counters) error
-}
-
-// runWordSweep is the shared driver of the batched Monte Carlo kernels: it
-// claims pending 64-vector words from an atomic cursor across workers
-// goroutines (each with its own worker from newWorker), reports per-word
-// OnWord progress under the merge mutex (so done counts are strictly
-// increasing and calls never overlap), honors ctx between word claims, and
-// merges per-worker counters into tot — per word under the mutex when a
-// commit hook is set (so each commit's snapshot covers exactly the
-// committed words), otherwise once at worker exit. Panics in workers or
-// callbacks are recovered into a *PanicError that aborts the sweep; on any
-// abort the partial result is discarded by the caller and the error
-// returned. All counters are integers summed per site (and per frame), so
-// the totals are identical at any worker count and any merge regime.
-func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *mcTotals, newWorker func() wordWorker) error {
-	pending := make([]int32, 0, cfg.words)
-	doneBase := 0
-	for w := 0; w < cfg.words; w++ {
-		if cfg.skip != nil && cfg.skip[w] {
-			doneBase++
+	cfg := sweep.Config[wordWorker]{
+		Spans:   make([]sweep.Span, 0, words),
+		Workers: workers,
+		Budget:  opt.MaxNewWords,
+		Unit:    "word",
+		New:     func() (wordWorker, error) { return newWorker(), nil },
+		Do: func(wk wordWorker, w, _ int) error {
+			wk.runWord(int64(w))
+			return nil
+		},
+	}
+	for w := 0; w < words; w++ {
+		if skip != nil && skip[w] {
+			cfg.DoneBase++
 			continue
 		}
-		pending = append(pending, int32(w))
+		cfg.Spans = append(cfg.Spans, sweep.Span{Lo: w, Hi: w + 1})
 	}
-	budgetHit := false
-	if cfg.maxNew > 0 && len(pending) > cfg.maxNew {
-		pending = pending[:cfg.maxNew]
-		budgetHit = true
+	if opt.OnWord != nil {
+		cfg.Progress = func(done int) { opt.OnWord(done, words) }
 	}
-	if len(pending) == 0 {
-		if cfg.onWord != nil && doneBase > 0 {
-			cfg.onWord(doneBase, cfg.words)
-		}
-		return nil
-	}
-	workers := cfg.workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		cursor    atomic.Int64
-		abort     atomic.Bool
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		wordsDone = doneBase
-	)
-	fail := func(err error) {
-		func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
-		}()
-		abort.Store(true)
-	}
-	perWordMerge := cfg.commit != nil
-	// afterWord runs the post-word critical section: fold the worker's
-	// counters into the totals (per-word regime), commit, then report
-	// progress. The deferred recover turns a callback panic into an error
-	// while the deferred unlock keeps the mutex released either way — a
-	// panicking callback must never leave the sweep deadlocked.
-	afterWord := func(word int, wk wordWorker) (err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Word: word, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		if firstErr != nil {
-			return firstErr
-		}
-		if perWordMerge {
+	if commit := opt.OnCommit; commit != nil {
+		cfg.After = func(wk wordWorker, w, _ int) error {
 			wk.merge(tot)
 			wk.reset()
+			return commit(w, tot.snapshot)
 		}
-		wordsDone++
-		if cfg.commit != nil {
-			if err := cfg.commit(word, tot.snapshot); err != nil {
-				return err
-			}
+	} else {
+		cfg.Exit = func(wk wordWorker) { wk.merge(tot) }
+	}
+	if _, err := sweep.Run(ctx, cfg); err != nil {
+		if opt.OnCommit != nil && opt.OnAbort != nil {
+			opt.OnAbort(tot.snapshot())
 		}
-		if cfg.onWord != nil {
-			cfg.onWord(wordsDone, cfg.words)
-		}
-		return nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cur := -1
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&PanicError{Word: cur, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			wk := newWorker()
-			for {
-				if abort.Load() {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					break
-				}
-				i := cursor.Add(1) - 1
-				if i >= int64(len(pending)) {
-					break
-				}
-				cur = int(pending[i])
-				wk.runWord(int64(cur))
-				if perWordMerge || cfg.onWord != nil {
-					if err := afterWord(cur, wk); err != nil {
-						fail(err)
-						break
-					}
-				}
-				cur = -1
-			}
-			// The deferred unlock matters: a merge panic with the mutex
-			// still held would turn the outer recover's fail() — which
-			// takes the same mutex — into a self-deadlock instead of a
-			// structured *PanicError.
-			if !perWordMerge {
-				func() {
-					mu.Lock()
-					defer mu.Unlock()
-					wk.merge(tot)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if budgetHit {
-		return ErrWordBudget
+		return err
 	}
 	return nil
 }
@@ -528,33 +409,11 @@ func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *mcTotals, newWorke
 // is discarded and ctx.Err() returned. Results are identical at any worker
 // count.
 func (m *MCBatch) EPPAll(ctx context.Context, workers int) ([]MCResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	words := (m.opt.Vectors + 63) / 64
+	words := m.opt.Words()
 	n := m.c.N()
 	tot := &mcTotals{detected: make([]int64, n)}
-	cfg := wordSweepCfg{
-		workers: workers,
-		words:   words,
-		maxNew:  m.opt.MaxNewWords,
-		onWord:  m.opt.OnWord,
-		commit:  m.opt.OnCommit,
-	}
-	if r := m.opt.Resume; r != nil {
-		if len(r.Skip) != words {
-			return nil, fmt.Errorf("simulate: Resume.Skip has %d words, sweep has %d", len(r.Skip), words)
-		}
-		if err := tot.seed(r.Counters, n, 0); err != nil {
-			return nil, err
-		}
-		cfg.skip = r.Skip
-	}
-	if err := runWordSweep(ctx, cfg, tot,
+	if err := sweepWords(ctx, &m.opt, workers, 0, tot,
 		func() wordWorker { return newMCWorker(m) }); err != nil {
-		if m.opt.OnCommit != nil && m.opt.OnAbort != nil {
-			m.opt.OnAbort(tot.snapshot())
-		}
 		return nil, err
 	}
 	tot.stats.Sites = int64(n)

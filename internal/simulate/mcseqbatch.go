@@ -6,10 +6,8 @@ package simulate
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -302,37 +300,15 @@ func (m *MCSeqBatch) FrameDetected(frame int) []int64 {
 // claims; on cancellation the partial estimate is discarded and ctx.Err()
 // returned. Results are identical at any worker count.
 func (m *MCSeqBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	words := (m.opt.Vectors + 63) / 64
+	words := m.opt.Words()
 	n := m.c.N()
 	tot := &mcTotals{
 		detected: make([]int64, n),
 		later:    make([]int64, n),
 		frames:   make([]int64, m.frames*n),
 	}
-	cfg := wordSweepCfg{
-		workers: workers,
-		words:   words,
-		maxNew:  m.opt.MaxNewWords,
-		onWord:  m.opt.OnWord,
-		commit:  m.opt.OnCommit,
-	}
-	if r := m.opt.Resume; r != nil {
-		if len(r.Skip) != words {
-			return nil, fmt.Errorf("simulate: Resume.Skip has %d words, sweep has %d", len(r.Skip), words)
-		}
-		if err := tot.seed(r.Counters, n, m.frames); err != nil {
-			return nil, err
-		}
-		cfg.skip = r.Skip
-	}
-	if err := runWordSweep(ctx, cfg, tot,
+	if err := sweepWords(ctx, &m.opt, workers, m.frames, tot,
 		func() wordWorker { return newMCSeqWorker(m) }); err != nil {
-		if m.opt.OnCommit != nil && m.opt.OnAbort != nil {
-			m.opt.OnAbort(tot.snapshot())
-		}
 		return nil, err
 	}
 	tot.stats.Sites = int64(n)

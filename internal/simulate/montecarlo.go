@@ -45,7 +45,8 @@ type MCOptions struct {
 	// word-granular progress signal the word-major sweeps can honestly
 	// report (per-site results all finalize together at the last word). The
 	// per-site estimators ignore it. A panic in the callback aborts the
-	// sweep with a *PanicError instead of crashing the worker goroutine.
+	// sweep with a *sweep.PanicError instead of crashing the worker
+	// goroutine.
 	OnWord func(done, total int)
 	// Resume, when non-nil, seeds a batched sweep from a prior partial run:
 	// words with Skip[w] set are not re-run and the saved Counters are
@@ -75,7 +76,7 @@ type MCOptions struct {
 	// MaxNewWords, when > 0, bounds the number of words one sweep call may
 	// process (not counting words skipped via Resume). When it truncates
 	// the sweep, the kernel processes exactly that many words and returns
-	// ErrWordBudget — combined with OnCommit the completed words are
+	// sweep.ErrBudget — combined with OnCommit the completed words are
 	// durable, so repeated budgeted calls converge to completion.
 	MaxNewWords int
 }

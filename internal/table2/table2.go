@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"repro/internal/circuitio"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/report"
@@ -123,21 +123,17 @@ func Run(c *netlist.Circuit, cfg Config) (Row, error) {
 	sp := sigprob.MonteCarlo(c, sigprob.Config{Vectors: cfg.SPVectors, Seed: cfg.Seed})
 	row.SPTs = time.Since(spStart).Seconds()
 
-	// --- SysT: the EPP analysis over every node.
-	an, err := core.New(c, sp, core.Options{})
+	// --- SysT: the EPP analysis over every node, on the production
+	// epp-batch engine. It runs to completion: a mid-measurement abort
+	// would corrupt the row (RunProfiles honors ctx between circuits).
+	eng, err := engine.Lookup("epp-batch")
 	if err != nil {
 		return Row{}, err
 	}
+	epp := make([]float64, c.N())
 	sysStart := time.Now()
-	var epp []float64
-	if cfg.Workers == 1 {
-		epp = an.PSensitizedAll()
-	} else {
-		res := an.AllSitesParallel(cfg.Workers)
-		epp = make([]float64, len(res))
-		for i, r := range res {
-			epp[i] = r.PSensitized
-		}
+	if err := eng.PSensitizedAll(context.Background(), &engine.Request{Circuit: c, SP: sp, Workers: cfg.Workers}, epp); err != nil {
+		return Row{}, err
 	}
 	row.SysTms = float64(time.Since(sysStart).Microseconds()) / 1000
 
