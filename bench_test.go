@@ -30,6 +30,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netlist"
+	"repro/internal/sched"
 	"repro/internal/seq"
 	"repro/internal/sigprob"
 	"repro/internal/simulate"
@@ -212,7 +213,10 @@ func BenchmarkMCVectorSweep(b *testing.B) {
 }
 
 // BenchmarkConeExtraction: the path-construction step (paper §2 step 1-2)
-// in isolation, averaged over all sites.
+// in isolation, averaged over all sites. The per-circuit sub-benchmarks
+// extract single-site cones; the union64/ ones extract the 64-root union
+// cones the batched kernels sweep, over consecutive cone-locality spans.
+// Both must read 0 allocs/op once warm.
 func BenchmarkConeExtraction(b *testing.B) {
 	for _, name := range benchCircuits {
 		b.Run(name, func(b *testing.B) {
@@ -222,6 +226,23 @@ func BenchmarkConeExtraction(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.ForwardCone(netlist.ID(i % c.N()))
+			}
+		})
+	}
+	for _, name := range benchCircuits {
+		b.Run("union64/"+name, func(b *testing.B) {
+			c := circuitFor(b, name)
+			order := sched.ConeLocality(c).Order
+			spans := (len(order) + core.MaxBatchWidth - 1) / core.MaxBatchWidth
+			w := graph.NewWalker(c)
+			for s := 0; s < spans; s++ { // warm the scratch to the largest union
+				w.Union(order[s*core.MaxBatchWidth : min((s+1)*core.MaxBatchWidth, len(order))])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := i % spans
+				w.Union(order[s*core.MaxBatchWidth : min((s+1)*core.MaxBatchWidth, len(order))])
 			}
 		})
 	}

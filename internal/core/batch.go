@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -26,7 +27,7 @@ const MaxBatchWidth = 64
 const DefaultBatchWidth = MaxBatchWidth
 
 // BatchAnalyzer is the batched implementation of the all-sites EPP kernel.
-// It processes up to Width error sites per sweep: one forward DFS extracts
+// It processes up to Width error sites per sweep: its graph.Walker extracts
 // the union of the sites' cones, a per-node uint64 mask records which lanes
 // (sites) each node is on-path for, and a single pass in topological order
 // computes all lanes' four-valued states together. Per-lane state is stored
@@ -41,33 +42,25 @@ const DefaultBatchWidth = MaxBatchWidth
 //
 // The scalar Analyzer.EPP remains the executable specification: for every
 // site, the batched states are computed with the same rule arithmetic in
-// the same fanin order, and agree with the scalar sweep to ≤ 1e-12 (the
-// only divergence is floating-point product order when folding output
-// misses, see TestBatchMatchesScalar).
+// the same fanin order, and both engines fold the output misses in the
+// same canonical ID order, so every P_sensitized and every output state is
+// bit-identical to the scalar sweep (see TestBatchMatchesScalar).
 //
 // A BatchAnalyzer is not safe for concurrent use; create one per goroutine
 // (the epp-batch engine's workers each clone their own).
 type BatchAnalyzer struct {
 	a      *Analyzer
-	stride int // configured lane count (batch width)
+	stride int           // configured lane count (batch width)
+	w      *graph.Walker // union-cone builder; w.Contains marks the current union
 
-	// Per-node epoch-stamped scratch. stamp marks union-cone membership in
-	// the current batch; seedStamp validates seed (the lanes a node is the
-	// error site of); mask is valid for stamped nodes after the node has
-	// been swept; pos is the node's dense index into the lane arrays.
-	mask      []uint64
-	seed      []uint64
-	pos       []int32
-	stamp     []uint32
-	seedStamp []uint32
-	epoch     uint32
-
-	// Union-cone extraction scratch (same technique as graph.Walker).
-	stack   []netlist.ID
-	touched []netlist.ID
-	counts  []int32
-	members []netlist.ID
-	obs     []netlist.ID // observed union members, in sweep order
+	// Per-node scratch, valid for members of the current union: mask holds
+	// the node's on-path lanes (seeded with the lanes it is the error site
+	// of, complete once the node has been swept); pos is the node's dense
+	// index into the lane arrays. run rewrites both for the whole union
+	// before the sweep reads them.
+	mask []uint64
+	pos  []int32
+	obs  []netlist.ID // observed union members, in sweep order
 
 	// Struct-of-arrays lane state, indexed pos*stride + lane.
 	pa, pab, p0, p1 []float64
@@ -96,16 +89,14 @@ func NewBatch(a *Analyzer, width int) *BatchAnalyzer {
 	}
 	n := a.c.N()
 	return &BatchAnalyzer{
-		a:         a,
-		stride:    width,
-		mask:      make([]uint64, n),
-		seed:      make([]uint64, n),
-		pos:       make([]int32, n),
-		stamp:     make([]uint32, n),
-		seedStamp: make([]uint32, n),
-		miss:      make([]float64, width),
-		csize:     make([]int32, width),
-		ins:       make([]logic.Prob4, 0, 8),
+		a:      a,
+		stride: width,
+		w:      graph.NewWalker(a.c),
+		mask:   make([]uint64, n),
+		pos:    make([]int32, n),
+		miss:   make([]float64, width),
+		csize:  make([]int32, width),
+		ins:    make([]logic.Prob4, 0, 8),
 	}
 }
 
@@ -197,8 +188,11 @@ func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 	}
 }
 
-// run executes one batched pass: seed the lanes, extract the union cone,
-// order it topologically, then sweep all lanes in a single pass.
+// run executes one batched pass: validate the sites, extract the union cone
+// in topological order, seed the lanes, then sweep all lanes in a single
+// pass. Every site is validated before any scratch is touched, and the
+// sweep reads only scratch rewritten for this union, so a batch that
+// panicked leaves nothing stale for the next one.
 func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	if len(sites) == 0 {
 		return
@@ -206,90 +200,25 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	if len(sites) > b.stride {
 		panic(fmt.Sprintf("core: batch of %d sites exceeds width %d", len(sites), b.stride))
 	}
-	a := b.a
-	c := a.c
-	n := c.N()
-
-	b.epoch++
-	if b.epoch == 0 { // uint32 wraparound: invalidate all stamps
-		for i := range b.stamp {
-			b.stamp[i] = 0
-			b.seedStamp[i] = 0
-		}
-		b.epoch = 1
-	}
-
-	// Seed lanes and start the union DFS from every site.
-	b.touched = b.touched[:0]
-	b.stack = b.stack[:0]
-	for lane, site := range sites {
+	n := b.a.c.N()
+	for _, site := range sites {
 		if site < 0 || int(site) >= n {
 			panic(fmt.Sprintf("core: batch: invalid site %d", site))
 		}
-		if b.seedStamp[site] != b.epoch {
-			b.seedStamp[site] = b.epoch
-			b.seed[site] = 0
-		}
-		b.seed[site] |= 1 << uint(lane)
-		if b.stamp[site] != b.epoch {
-			b.stamp[site] = b.epoch
-			b.touched = append(b.touched, site)
-			b.stack = append(b.stack, site)
-		}
-	}
-	foIdx, foArr := c.FanoutCSR()
-	kinds := c.Kinds()
-	for len(b.stack) > 0 {
-		id := b.stack[len(b.stack)-1]
-		b.stack = b.stack[:len(b.stack)-1]
-		for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
-			if b.stamp[o] == b.epoch {
-				continue
-			}
-			if kinds[o] == logic.DFF {
-				continue // time-frame boundary: do not cross
-			}
-			b.stamp[o] = b.epoch
-			b.touched = append(b.touched, o)
-			b.stack = append(b.stack, o)
-		}
 	}
 
-	// Counting sort by combinational level — a valid topological order, as
-	// in graph.Walker.ForwardCone.
-	levels := c.Levels()
-	maxLv := 0
-	for _, id := range b.touched {
-		if lv := levels[id]; lv > maxLv {
-			maxLv = lv
-		}
+	members := b.w.Union(sites)
+	for i, id := range members {
+		b.pos[id] = int32(i)
+		b.mask[id] = 0
 	}
-	if cap(b.counts) < maxLv+2 {
-		b.counts = make([]int32, maxLv+2)
-	}
-	counts := b.counts[:maxLv+2]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, id := range b.touched {
-		counts[levels[id]+1]++
-	}
-	for lv := 1; lv < len(counts); lv++ {
-		counts[lv] += counts[lv-1]
-	}
-	if cap(b.members) < len(b.touched) {
-		b.members = make([]netlist.ID, len(b.touched))
-	}
-	b.members = b.members[:len(b.touched)]
-	for _, id := range b.touched {
-		lv := levels[id]
-		b.members[counts[lv]] = id
-		counts[lv]++
+	for lane, site := range sites {
+		b.mask[site] |= 1 << uint(lane)
 	}
 
 	// Size the lane arrays for this union cone.
 	stride := b.stride
-	if need := len(b.members) * stride; cap(b.pa) < need {
+	if need := len(members) * stride; cap(b.pa) < need {
 		b.pa = make([]float64, need)
 		b.pab = make([]float64, need)
 		b.p0 = make([]float64, need)
@@ -302,7 +231,7 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	}
 	b.obs = b.obs[:0]
 
-	b.sweepUnion()
+	b.sweepUnion(members)
 
 	// Fold each lane's per-output miss product in ascending output-ID
 	// order. The order is canonical — independent of which sites share the
@@ -321,14 +250,15 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 			b.miss[l] *= 1 - (b.pa[j] + b.pab[j])
 		}
 	}
-	b.sweptNodes += int64(len(b.members))
+	b.sweptNodes += int64(len(members))
 	b.sitesSwept += int64(len(sites))
 }
 
 // sweepUnion is the batched step 3: one pass over the union cone in
 // topological order, computing every lane's state at every node.
-func (b *BatchAnalyzer) sweepUnion() {
+func (b *BatchAnalyzer) sweepUnion(members []netlist.ID) {
 	a := b.a
+	w := b.w
 	c := a.c
 	kinds := a.kinds
 	fiIdx, fiArr := a.fiIdx, a.fiArr
@@ -336,20 +266,16 @@ func (b *BatchAnalyzer) sweepUnion() {
 	closed := a.opt.Rules != RulesPairwise
 	fast := a.opt.Rules == RulesClosedForm
 
-	for i, id := range b.members {
-		b.pos[id] = int32(i)
+	for i, id := range members {
 		base := i * stride
 
-		var m uint64
-		if b.seedStamp[id] == b.epoch {
-			m = b.seed[id]
-		}
+		m := b.mask[id]
 		sb := m // seed (error-site) lanes of this node
 		kind := kinds[id]
 		fs, fe := int(fiIdx[id]), int(fiIdx[id+1])
 		if kind.IsGate() {
 			for _, f := range fiArr[fs:fe] {
-				if b.stamp[f] == b.epoch {
+				if w.Contains(f) {
 					m |= b.mask[f]
 				}
 			}
@@ -392,7 +318,7 @@ func (b *BatchAnalyzer) sweepUnion() {
 // laneIn loads fanin f's state for lane l: its on-path lane state if f is on
 // path for l in this batch, the off-path signal-probability state otherwise.
 func (b *BatchAnalyzer) laneIn(f netlist.ID, l int) (xa, xab, x0, x1 float64) {
-	if b.stamp[f] == b.epoch && b.mask[f]>>uint(l)&1 == 1 {
+	if b.w.Contains(f) && b.mask[f]>>uint(l)&1 == 1 {
 		j := int(b.pos[f])*b.stride + l
 		return b.pa[j], b.pab[j], b.p0[j], b.p1[j]
 	}
@@ -405,8 +331,8 @@ func (b *BatchAnalyzer) laneIn(f netlist.ID, l int) (xa, xab, x0, x1 float64) {
 // of the lane loop, and the Table 1 AND rule is applied with exactly the
 // arithmetic (and operation order) of the scalar andRule.
 func (b *BatchAnalyzer) and2Lanes(base int, compute uint64, fx, fy netlist.ID, invert bool) {
-	onX := b.stamp[fx] == b.epoch
-	onY := b.stamp[fy] == b.epoch
+	onX := b.w.Contains(fx)
+	onY := b.w.Contains(fy)
 	var mx, my uint64
 	var bx, by int
 	if onX {
@@ -460,8 +386,8 @@ func (b *BatchAnalyzer) and2Lanes(base int, compute uint64, fx, fy netlist.ID, i
 
 // or2Lanes is the dual of and2Lanes for 2-input OR/NOR (Table 1 OR rule).
 func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, fx, fy netlist.ID, invert bool) {
-	onX := b.stamp[fx] == b.epoch
-	onY := b.stamp[fy] == b.epoch
+	onX := b.w.Contains(fx)
+	onY := b.w.Contains(fy)
 	var mx, my uint64
 	var bx, by int
 	if onX {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -18,11 +19,11 @@ var batchWidths = []int{1, 4, 8, 64}
 
 // TestBatchMatchesScalar is the batched engine's conformance suite: on
 // random generated circuits, for every rule set and every batch width, the
-// batched P_sensitized of every site must match the scalar Analyzer (the
-// executable specification) to ≤ 1e-12, and the per-output states must
-// match to the same tolerance. The only legitimate divergence between the
-// two engines is floating-point product order when folding per-output miss
-// probabilities, which is far below this bound.
+// batched P_sensitized of every site and every per-output state must be
+// bit-identical to the scalar Analyzer (the executable specification).
+// Both engines apply the same rule arithmetic in the same fanin order and
+// fold the output misses in the same canonical ID order, so there is no
+// legitimate divergence at all.
 func TestBatchMatchesScalar(t *testing.T) {
 	rules := []RuleSet{RulesClosedForm, RulesPairwise, RulesNoPolarity}
 	for seed := uint64(0); seed < 6; seed++ {
@@ -51,9 +52,9 @@ func TestBatchMatchesScalar(t *testing.T) {
 				}
 				for id := 0; id < c.N(); id++ {
 					g, w := got[id], want[id]
-					if d := math.Abs(g.PSensitized - w.PSensitized); d > 1e-12 {
-						t.Fatalf("seed %d rules %v width %d site %d: batched %v, scalar %v (|d| = %g)",
-							seed, rs, width, id, g.PSensitized, w.PSensitized, d)
+					if math.Float64bits(g.PSensitized) != math.Float64bits(w.PSensitized) {
+						t.Fatalf("seed %d rules %v width %d site %d: batched %v, scalar %v (must be bit-identical)",
+							seed, rs, width, id, g.PSensitized, w.PSensitized)
 					}
 					if g.ConeSize != w.ConeSize {
 						t.Fatalf("seed %d rules %v width %d site %d: cone size %d, scalar %d",
@@ -77,7 +78,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 								seed, rs, width, id, i, o.Output)
 						}
 						for s := range o.State {
-							if d := o.State[s] - ws[s]; math.Abs(d) > 1e-12 {
+							if math.Float64bits(o.State[s]) != math.Float64bits(ws[s]) {
 								t.Fatalf("seed %d rules %v width %d site %d output node %d: state %v, scalar %v",
 									seed, rs, width, id, o.Output, o.State, ws)
 							}
@@ -106,7 +107,7 @@ func TestBatchPSensitizedMatchesEPPBatch(t *testing.T) {
 
 // TestBatchPartialAndRepeatedBatches: a batch narrower than the width, and
 // re-use of one engine across many batches, must not leak state between
-// passes (epoch/stamp discipline).
+// passes (scratch discipline).
 func TestBatchPartialAndRepeatedBatches(t *testing.T) {
 	c := gen.SmallRandomSequential(7)
 	sp := sigprob.Topological(c, sigprob.Config{})
@@ -243,36 +244,37 @@ func TestAllSitesUsesSchedule(t *testing.T) {
 	}
 }
 
-// TestBatchEpochWraparound forces the uint32 epoch counter through its
-// wraparound (epoch++ overflowing to 0 must invalidate all stamps rather
-// than treat stale stamps as current) and checks results straddling the
-// wrap are unchanged.
-func TestBatchEpochWraparound(t *testing.T) {
-	c := gen.SmallRandomSequential(3)
+// TestBatchInvalidSiteLeavesNoState: a batch naming an out-of-range site
+// panics before touching any scratch, so the next valid batch on the same
+// engine is bit-identical to that batch on a fresh engine.
+func TestBatchInvalidSiteLeavesNoState(t *testing.T) {
+	c := gen.SmallRandomSequential(5)
 	sp := sigprob.Topological(c, sigprob.Config{})
-	a := MustNew(c, sp, Options{})
-	eng := NewBatch(a, 8)
-	want := make([]float64, c.N())
-	for id := 0; id < c.N(); id++ {
-		want[id] = a.EPP(netlist.ID(id)).PSensitized
-	}
-	check := func(tag string) {
-		t.Helper()
-		var out [1]float64
-		for id := 0; id < c.N(); id++ {
-			eng.PSensitizedBatch([]netlist.ID{netlist.ID(id)}, out[:])
-			if d := math.Abs(out[0] - want[id]); d > 1e-12 {
-				t.Fatalf("%s: site %d: %v, want %v", tag, id, out[0], want[id])
+	n := c.N()
+	eng := NewBatch(MustNew(c, sp, Options{}), 8)
+	// Warm the scratch with a valid batch first, so stale state would show.
+	warm := []netlist.ID{0, netlist.ID(n / 2), netlist.ID(n - 1)}
+	eng.PSensitizedBatch(warm, make([]float64, len(warm)))
+
+	bad := netlist.ID(n + 3)
+	func() {
+		defer func() {
+			want := fmt.Sprintf("core: batch: invalid site %d", bad)
+			if r := recover(); r != want {
+				t.Fatalf("panic = %v, want %q", r, want)
 			}
+		}()
+		eng.PSensitizedBatch([]netlist.ID{1, 2, bad, 3}, make([]float64, 4))
+	}()
+
+	sites := []netlist.ID{1, 2, 3, netlist.ID(n / 3), netlist.ID(n - 2)}
+	got := make([]float64, len(sites))
+	eng.PSensitizedBatch(sites, got)
+	want := make([]float64, len(sites))
+	NewBatch(MustNew(c, sp, Options{}), 8).PSensitizedBatch(sites, want)
+	for i, site := range sites {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("site %d after invalid batch: %v, fresh engine %v", site, got[i], want[i])
 		}
 	}
-	check("pre-wrap")
-	// Park the engine two increments before overflow: the next run() takes
-	// epoch to ^uint32(0), the one after wraps to 0 and must invalidate.
-	eng.epoch = ^uint32(0) - 2
-	check("straddling wrap")
-	if eng.epoch >= ^uint32(0)-2 {
-		t.Fatalf("epoch = %d, wraparound branch not exercised", eng.epoch)
-	}
-	check("post-wrap")
 }

@@ -24,7 +24,8 @@
 // membership in a uint64 mask and storing the four-valued states
 // struct-of-arrays, which amortizes cone extraction, adjacency loads and
 // rule dispatch across the batch (~5× on the large ISCAS'89 profiles). Both
-// engines read the netlist through the CSR adjacency arrays
+// engines take their cones from graph.Walker (steps 1 and 2), read the
+// netlist through the CSR adjacency arrays
 // (netlist.Circuit.FaninCSR/FanoutCSR) and fold the per-output miss product
 // in canonical ascending output-ID order, so a site's P_sensitized is a
 // pure function of its cone's dataflow graph, signal probabilities and
@@ -116,17 +117,15 @@ type Result struct {
 }
 
 // Analyzer computes EPP over a fixed circuit and a fixed off-path signal
-// probability assignment. It keeps reusable epoch-stamped scratch so a full
-// all-nodes analysis performs no per-site allocation beyond results. An
-// Analyzer is not safe for concurrent use; Clone one per goroutine.
+// probability assignment. It keeps reusable scratch so a full all-nodes
+// analysis performs no per-site allocation beyond results. An Analyzer is
+// not safe for concurrent use; Clone one per goroutine.
 type Analyzer struct {
 	c      *netlist.Circuit
 	sp     []float64 // off-path signal probability per node
 	opt    Options
-	walker *graph.Walker
-	state  []logic.Prob4 // on-path state, valid where stamp == epoch
-	stamp  []uint32
-	epoch  uint32
+	walker *graph.Walker // cone builder; walker.Contains marks the last EPP's cone
+	state  []logic.Prob4 // on-path state, valid for members of the last cone
 	ins    []logic.Prob4 // fanin gather scratch
 	obs    []netlist.ID  // output-ID sort scratch for the miss-product fold
 
@@ -158,7 +157,6 @@ func New(c *netlist.Circuit, sp []float64, opt Options) (*Analyzer, error) {
 		opt:    opt,
 		walker: graph.NewWalker(c),
 		state:  make([]logic.Prob4, c.N()),
-		stamp:  make([]uint32, c.N()),
 		ins:    make([]logic.Prob4, 0, 8),
 		kinds:  c.Kinds(),
 	}
@@ -242,21 +240,13 @@ func (a *Analyzer) EPP(site netlist.ID) Result {
 
 // sweep performs step 3: one pass over the cone in topological order.
 func (a *Analyzer) sweep(cone *graph.Cone) {
-	a.epoch++
-	if a.epoch == 0 { // uint32 wraparound: invalidate all stamps
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.epoch = 1
-	}
 	a.state[cone.Root] = logic.ErrorSite()
-	a.stamp[cone.Root] = a.epoch
 
 	for _, id := range cone.Members[1:] {
 		kind := a.kinds[id]
 		a.ins = a.ins[:0]
 		for _, f := range a.fiArr[a.fiIdx[id]:a.fiIdx[id+1]] {
-			if a.stamp[f] == a.epoch {
+			if cone.Contains(f) {
 				a.ins = append(a.ins, a.state[f]) // on-path fanin
 			} else {
 				a.ins = append(a.ins, logic.FromSP(a.sp[f])) // off-path fanin
@@ -273,14 +263,13 @@ func (a *Analyzer) sweep(cone *graph.Cone) {
 			st[logic.SymABar] = 0
 		}
 		a.state[id] = st
-		a.stamp[id] = a.epoch
 	}
 }
 
 // StateOf returns the four-valued state computed for node id by the most
 // recent EPP call, and whether the node was on-path in that analysis.
 func (a *Analyzer) StateOf(id netlist.ID) (logic.Prob4, bool) {
-	if a.stamp[id] != a.epoch || a.epoch == 0 {
+	if !a.walker.Contains(id) {
 		return logic.Prob4{}, false
 	}
 	return a.state[id], true

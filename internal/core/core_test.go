@@ -241,7 +241,7 @@ z = BUFF(q)
 }
 
 // TestAnalyzerReuseAcrossSites: running many sites back to back on one
-// Analyzer must give the same answers as fresh Analyzers (epoch reuse).
+// Analyzer must give the same answers as fresh Analyzers (scratch reuse).
 func TestAnalyzerReuseAcrossSites(t *testing.T) {
 	c, sp := fig1(t)
 	shared := MustNew(c, sp, Options{})

@@ -85,11 +85,12 @@ func Names() map[string]bool {
 // here.
 var scopes = map[string][]string{
 	// Packages whose outputs are folded into Reports, checkpoints, or wire
-	// frames: map-order leakage there breaks byte-identity.
+	// frames — or, for graph, that decide the member order the kernels
+	// fold over: map-order leakage there breaks byte-identity.
 	detrangeName: {
 		"internal/core", "internal/simulate", "internal/engine",
 		"internal/seq", "internal/serd", "internal/resume", "internal/sched",
-		"internal/eco", "internal/sweep",
+		"internal/eco", "internal/sweep", "internal/graph",
 	},
 	// Kernel and fingerprint-relevant packages: results must be a pure
 	// function of (circuit, options, seed). serd/table2 are deliberately

@@ -194,6 +194,7 @@ func TestInScope(t *testing.T) {
 		{"detsource", "repro/internal/serd", false}, // deliberately out of scope
 		{"deferunlock", "repro/internal/serd", true},
 		{"detrange", "repro/internal/sweep", true},
+		{"detrange", "repro/internal/graph", true},
 		{"detsource", "repro/internal/sweep", true},
 		{"deferunlock", "repro/internal/sweep", true},
 		{"bitfloat", "repro/internal/resume", true},
