@@ -22,8 +22,9 @@ const MaxBatchWidth = 64
 // trades cone-extraction amortization (wider is better: consecutive sites
 // have heavily overlapping cones, and the width sweep in the benchmark
 // suite is monotonically faster up to the mask limit on every ISCAS
-// profile) against lane-state memory — 32 bytes per on-path node per lane,
-// i.e. up to |union cone| × width × 32 B of reusable scratch per engine.
+// profile) against lane-state memory — 32 bytes per union-cone node per
+// lane, i.e. at most N × width × 32 B of reusable scratch per analyzer on an
+// N-node circuit (see BatchAnalyzer).
 const DefaultBatchWidth = MaxBatchWidth
 
 // BatchAnalyzer is the batched implementation of the all-sites EPP kernel.
@@ -32,13 +33,17 @@ const DefaultBatchWidth = MaxBatchWidth
 // (sites) each node is on-path for, and a single pass in topological order
 // computes all lanes' four-valued states together. Per-lane state is stored
 // struct-of-arrays (separate Pa/Pā/P0/P1 float64 arrays, lane-major within a
-// node) so the inner loops touch contiguous memory.
+// node) so the inner loops touch contiguous memory. The lane arrays grow
+// geometrically with the largest union cone seen, capped at one
+// full-circuit block: at most N × width × 32 B per analyzer.
 //
 // Compared with running the scalar Analyzer once per site this amortizes,
 // across the whole batch: the cone DFS and topological sort, the fanin
-// index and gate-kind loads, and the gate-rule dispatch. The 2-input
-// AND/OR/NAND/NOR gates that dominate mapped netlists additionally take a
-// branch-free closed-form path evaluated directly on the lane arrays.
+// index and gate-kind loads, and the gate-rule dispatch. Under the closed-form
+// rules, AND/OR/NAND/NOR/NOT/BUF gates test each fanin's on-path mask once
+// per node rather than once per lane, and the 2-input AND/OR/NAND/NOR gates
+// that dominate mapped netlists take a branch-free closed-form path
+// evaluated directly on the lane arrays.
 //
 // The scalar Analyzer.EPP remains the executable specification: for every
 // site, the batched states are computed with the same rule arithmetic in
@@ -65,9 +70,12 @@ type BatchAnalyzer struct {
 	// Struct-of-arrays lane state, indexed pos*stride + lane.
 	pa, pab, p0, p1 []float64
 
-	miss  []float64 // per-lane running ∏ (1 − PErr(output))
-	csize []int32   // per-lane on-path signal count
-	ins   []logic.Prob4
+	// Per-lane product accumulators of the n-ary AND/OR path (see
+	// naryLanes): the non-controlling value and the two error sums.
+	accN, accA, accAB [MaxBatchWidth]float64
+
+	miss []float64 // per-lane running ∏ (1 − PErr(output))
+	ins  []logic.Prob4
 
 	// Cumulative work counters since construction (or ResetCounters): how
 	// many union-cone nodes were swept and how many sites were analyzed.
@@ -95,7 +103,6 @@ func NewBatch(a *Analyzer, width int) *BatchAnalyzer {
 		mask:   make([]uint64, n),
 		pos:    make([]int32, n),
 		miss:   make([]float64, width),
-		csize:  make([]int32, width),
 		ins:    make([]logic.Prob4, 0, 8),
 	}
 }
@@ -137,8 +144,8 @@ func (a *Analyzer) Batch() *BatchAnalyzer {
 // PSensitizedBatch computes P_sensitized for up to Width error sites in one
 // batched sweep, writing out[i] for sites[i]. len(out) must equal
 // len(sites); sites must be valid node IDs. Performs no per-site heap
-// allocation (scratch grows once to the largest union cone seen and is
-// reused).
+// allocation: the lane scratch is reused, growing geometrically (capped at
+// N × width lanes) only when a larger union cone appears.
 func (b *BatchAnalyzer) PSensitizedBatch(sites []netlist.ID, out []float64) {
 	if len(sites) != len(out) {
 		panic(fmt.Sprintf("core: PSensitizedBatch: %d sites, %d outputs", len(sites), len(out)))
@@ -153,7 +160,9 @@ func (b *BatchAnalyzer) PSensitizedBatch(sites []netlist.ID, out []float64) {
 }
 
 // EPPBatch runs the batched analysis for up to Width sites and writes one
-// full Result (per-output states, cone size) per site into out.
+// full Result (per-output states, cone size) per site into out. Cone sizes
+// are counted here, from the union's final on-path masks, so the
+// PSensitizedBatch hot path never pays for them.
 func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 	if len(sites) != len(out) {
 		panic(fmt.Sprintf("core: EPPBatch: %d sites, %d results", len(sites), len(out)))
@@ -161,13 +170,19 @@ func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 	if len(sites) == 0 {
 		return
 	}
-	b.run(sites)
+	members := b.run(sites)
+	var csize [MaxBatchWidth]int
+	for _, id := range members {
+		for mm := b.mask[id]; mm != 0; mm &= mm - 1 {
+			csize[bits.TrailingZeros64(mm)]++
+		}
+	}
 	stride := b.stride
 	for i, site := range sites {
 		out[i] = Result{
 			Site:        site,
 			PSensitized: 1 - b.miss[i],
-			ConeSize:    int(b.csize[i]),
+			ConeSize:    csize[i],
 		}
 	}
 	// Gather per-lane output states in ascending node-ID order (b.obs is
@@ -190,13 +205,11 @@ func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 
 // run executes one batched pass: validate the sites, extract the union cone
 // in topological order, seed the lanes, then sweep all lanes in a single
-// pass. Every site is validated before any scratch is touched, and the
-// sweep reads only scratch rewritten for this union, so a batch that
-// panicked leaves nothing stale for the next one.
-func (b *BatchAnalyzer) run(sites []netlist.ID) {
-	if len(sites) == 0 {
-		return
-	}
+// pass. It returns the union's members (aliasing the walker's scratch,
+// valid until the next run). Every site is validated before any scratch is
+// touched, and the sweep reads only scratch rewritten for this union, so a
+// batch that panicked leaves nothing stale for the next one.
+func (b *BatchAnalyzer) run(sites []netlist.ID) []netlist.ID {
 	if len(sites) > b.stride {
 		panic(fmt.Sprintf("core: batch of %d sites exceeds width %d", len(sites), b.stride))
 	}
@@ -216,18 +229,24 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 		b.mask[site] |= 1 << uint(lane)
 	}
 
-	// Size the lane arrays for this union cone.
+	// Size the lane arrays for this union cone. Growth at least doubles,
+	// and jumps straight to one full-circuit block once past half of it, so
+	// a worker reallocates O(log N) times over a sweep, never holds more
+	// than N × width lanes, and allocates at most two blocks in total.
+	// Small partial sweeps still allocate small.
 	stride := b.stride
 	if need := len(members) * stride; cap(b.pa) < need {
+		if need = max(need, 2*cap(b.pa)); 2*need > n*stride {
+			need = n * stride
+		}
 		b.pa = make([]float64, need)
 		b.pab = make([]float64, need)
 		b.p0 = make([]float64, need)
 		b.p1 = make([]float64, need)
 	}
 
-	for i := 0; i < len(sites); i++ {
+	for i := range sites {
 		b.miss[i] = 1
-		b.csize[i] = 0
 	}
 	b.obs = b.obs[:0]
 
@@ -252,6 +271,7 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	}
 	b.sweptNodes += int64(len(members))
 	b.sitesSwept += int64(len(sites))
+	return members
 }
 
 // sweepUnion is the batched step 3: one pass over the union cone in
@@ -296,9 +316,9 @@ func (b *BatchAnalyzer) sweepUnion(members []netlist.ID) {
 			case fast && nf == 2 && (kind == logic.Or || kind == logic.Nor):
 				b.or2Lanes(base, compute, fiArr[fs], fiArr[fs+1], kind == logic.Nor)
 			case fast && (kind == logic.And || kind == logic.Nand):
-				b.andNLanes(base, compute, fiArr[fs:fe], kind == logic.Nand)
+				b.naryLanes(base, compute, fiArr[fs:fe], false, kind == logic.Nand)
 			case fast && (kind == logic.Or || kind == logic.Nor):
-				b.orNLanes(base, compute, fiArr[fs:fe], kind == logic.Nor)
+				b.naryLanes(base, compute, fiArr[fs:fe], true, kind == logic.Nor)
 			case fast && (kind == logic.Buf || kind == logic.Not):
 				b.unaryLanes(base, compute, fiArr[fs], kind == logic.Not)
 			default:
@@ -308,9 +328,6 @@ func (b *BatchAnalyzer) sweepUnion(members []netlist.ID) {
 
 		if c.IsObserved(id) && m != 0 {
 			b.obs = append(b.obs, id) // miss folding happens post-sweep, in ID order
-		}
-		for mm := m; mm != 0; mm &= mm - 1 {
-			b.csize[bits.TrailingZeros64(mm)]++
 		}
 	}
 }
@@ -439,81 +456,109 @@ func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, fx, fy netlist.ID, in
 	}
 }
 
-// andNLanes applies the n-ary Table 1 AND rule per lane (same accumulation
-// order as the scalar andRule: fanins in declaration order).
-func (b *BatchAnalyzer) andNLanes(base int, compute uint64, fanin []netlist.ID, invert bool) {
+// naryLanes applies the n-ary Table 1 AND rule (the OR dual when or is
+// set) to the compute lanes, fanin-outer: each fanin's on-path test and
+// off-path constants are evaluated once per node, then multiplied into the
+// per-lane accumulators. Every lane still multiplies its fanins in
+// declaration order with the arithmetic of the scalar andRule/orRule, so
+// the results are bit-identical to it.
+func (b *BatchAnalyzer) naryLanes(base int, compute uint64, fanin []netlist.ID, or, invert bool) {
+	accN, accA, accAB := &b.accN, &b.accA, &b.accAB
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
-		p1, pa, pab := 1.0, 1.0, 1.0
-		for _, f := range fanin {
-			xa, xab, _, x1 := b.laneIn(f, l)
-			p1 *= x1
-			pa *= x1 + xa
-			pab *= x1 + xab
+		accN[l], accA[l], accAB[l] = 1, 1, 1
+	}
+	xn := b.p1 // non-controlling value: P1 for AND, P0 for OR
+	if or {
+		xn = b.p0
+	}
+	for _, f := range fanin {
+		var on uint64
+		if b.w.Contains(f) {
+			on = compute & b.mask[f]
 		}
-		pa -= p1
-		pab -= p1
+		if on != 0 {
+			fb := int(b.pos[f]) * b.stride
+			for mm := on; mm != 0; mm &= mm - 1 {
+				l := bits.TrailingZeros64(mm)
+				j := fb + l
+				x := xn[j]
+				accN[l] *= x
+				accA[l] *= x + b.pa[j]
+				accAB[l] *= x + b.pab[j]
+			}
+		}
+		if off := compute &^ on; off != 0 {
+			// Off-path state: Pa = Pā = 0, so both error sums are x + 0,
+			// computed as the scalar rule computes them.
+			x := b.a.sp[f]
+			if or {
+				x = 1 - x
+			}
+			xe := x + 0
+			for mm := off; mm != 0; mm &= mm - 1 {
+				l := bits.TrailingZeros64(mm)
+				accN[l] *= x
+				accA[l] *= xe
+				accAB[l] *= xe
+			}
+		}
+	}
+
+	// Epilogue: subtract, clamp, complete the distribution and store,
+	// swapping the polarity and constant arrays for OR and inversion.
+	dA, dAB, dC, dN := b.pa, b.pab, b.p0, b.p1
+	if or {
+		dC, dN = dN, dC
+	}
+	if invert {
+		dA, dAB, dC, dN = dAB, dA, dN, dC
+	}
+	for mm := compute; mm != 0; mm &= mm - 1 {
+		l := bits.TrailingZeros64(mm)
+		n := accN[l]
+		pa := accA[l] - n
+		pab := accAB[l] - n
 		if pa < 0 {
 			pa = 0
 		}
 		if pab < 0 {
 			pab = 0
 		}
-		p0 := 1 - (p1 + pa + pab)
-		if p0 < 0 {
-			p0 = 0
+		pc := 1 - (n + pa + pab)
+		if pc < 0 {
+			pc = 0
 		}
 		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pab, pa, p1, p0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
-		}
+		dA[j], dAB[j], dC[j], dN[j] = pa, pab, pc, n
 	}
 }
 
-// orNLanes applies the n-ary Table 1 OR rule per lane (dual of andNLanes).
-func (b *BatchAnalyzer) orNLanes(base int, compute uint64, fanin []netlist.ID, invert bool) {
-	for mm := compute; mm != 0; mm &= mm - 1 {
-		l := bits.TrailingZeros64(mm)
-		p0, pa, pab := 1.0, 1.0, 1.0
-		for _, f := range fanin {
-			xa, xab, x0, _ := b.laneIn(f, l)
-			p0 *= x0
-			pa *= x0 + xa
-			pab *= x0 + xab
-		}
-		pa -= p0
-		pab -= p0
-		if pa < 0 {
-			pa = 0
-		}
-		if pab < 0 {
-			pab = 0
-		}
-		p1 := 1 - (p0 + pa + pab)
-		if p1 < 0 {
-			p1 = 0
-		}
-		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pab, pa, p1, p0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
-		}
-	}
-}
-
-// unaryLanes handles BUF (copy) and NOT (polarity/constant swap) lanes.
+// unaryLanes handles BUF (copy) and NOT (polarity/constant swap) lanes,
+// testing the fanin's on-path mask once for all lanes.
 func (b *BatchAnalyzer) unaryLanes(base int, compute uint64, f netlist.ID, invert bool) {
-	for mm := compute; mm != 0; mm &= mm - 1 {
-		l := bits.TrailingZeros64(mm)
-		xa, xab, x0, x1 := b.laneIn(f, l)
-		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = xab, xa, x1, x0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = xa, xab, x0, x1
+	dA, dAB, d0, d1 := b.pa, b.pab, b.p0, b.p1
+	if invert {
+		dA, dAB, d0, d1 = dAB, dA, d1, d0
+	}
+	var on uint64
+	if b.w.Contains(f) {
+		on = compute & b.mask[f]
+	}
+	if on != 0 {
+		fb := int(b.pos[f]) * b.stride
+		for mm := on; mm != 0; mm &= mm - 1 {
+			l := bits.TrailingZeros64(mm)
+			i, j := fb+l, base+l
+			dA[j], dAB[j], d0[j], d1[j] = b.pa[i], b.pab[i], b.p0[i], b.p1[i]
+		}
+	}
+	if off := compute &^ on; off != 0 {
+		s := b.a.sp[f]
+		x0 := 1 - s
+		for mm := off; mm != 0; mm &= mm - 1 {
+			j := base + bits.TrailingZeros64(mm)
+			dA[j], dAB[j], d0[j], d1[j] = 0, 0, x0, s
 		}
 	}
 }

@@ -123,8 +123,8 @@ func TestBatchPartialAndRepeatedBatches(t *testing.T) {
 		var out [1]float64
 		for id := 0; id < c.N(); id++ {
 			eng.PSensitizedBatch([]netlist.ID{netlist.ID(id)}, out[:])
-			if d := math.Abs(out[0] - want[id]); d > 1e-12 {
-				t.Fatalf("pass %d site %d: batched %v, scalar %v", pass, id, out[0], want[id])
+			if math.Float64bits(out[0]) != math.Float64bits(want[id]) {
+				t.Fatalf("pass %d site %d: batched %v, scalar %v (must be bit-identical)", pass, id, out[0], want[id])
 			}
 		}
 	}
